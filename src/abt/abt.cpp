@@ -44,7 +44,7 @@ void UnitHandle::join() {
     }
     // Direct-handoff join (core/join.hpp): register in the unit's joiner
     // slot and get woken by the terminating stream — with join-stealing of
-    // still-queued units and the LWT_JOIN=poll fallback handled inside.
+    // still-queued units handled inside.
     core::join_unit(unit_);
 }
 
@@ -515,28 +515,6 @@ std::vector<UnitHandle> Library::create_bulk_domain(
 }
 
 void Library::join_all_free(std::span<UnitHandle> handles) {
-    if (core::join_mode() == core::JoinMode::kPoll) {
-        // LWT_JOIN=poll: the pre-handoff shape. One run_until over the
-        // whole batch: the cursor only advances, so each handle's
-        // terminated flag is polled O(1) amortised.
-        if (core::Ult::current() == nullptr) {
-            if (core::XStream* stream = core::XStream::current()) {
-                std::size_t cursor = 0;
-                stream->run_until([&] {
-                    while (cursor < handles.size() &&
-                           (!handles[cursor].valid() ||
-                            handles[cursor].terminated())) {
-                        ++cursor;
-                    }
-                    return cursor == handles.size();
-                });
-            }
-        }
-        for (UnitHandle& h : handles) {
-            h.free();
-        }
-        return;
-    }
     // Direct handoff over the batch: one countdown EventCounter. Each
     // pending unit registers the counter in its joiner slot; its
     // terminating stream signals on publish, and the LAST signal wakes us

@@ -165,9 +165,9 @@ class Library {
         UnitKind kind, std::size_t n,
         const std::function<void(std::size_t)>& body, std::size_t domain);
 
-    /// Join-and-free a whole batch. From a stream's native thread this
-    /// drives the scheduler with one run_until over the batch instead of a
-    /// run_until per handle.
+    /// Join-and-free a whole batch: one countdown EventCounter that every
+    /// pending unit signals on termination, so the caller waits (and is
+    /// woken) once for the batch instead of once per handle.
     void join_all_free(std::span<UnitHandle> handles);
 
     /// ABT_thread_yield.

@@ -2,24 +2,18 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
+#include "core/waiter.hpp"
 #include "core/xstream.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace lwt::core {
 namespace {
-
-std::atomic<JoinMode> g_join_mode{JoinMode::kHandoff};
-std::atomic<bool> g_join_mode_set{false};
 
 /// Bounded pre-registration backoff for native-thread joiners: 64
 /// pipeline pauses, then a few OS yields (arch::Backoff's ladder). The
@@ -33,39 +27,21 @@ std::atomic<bool> g_join_mode_set{false};
 /// direct wake — this is never an open-ended poll.
 constexpr unsigned kJoinBackoffSteps = 64 + 16;
 
-JoinMode join_mode_from_env() noexcept {
-    const char* env = std::getenv("LWT_JOIN");
-    if (env != nullptr && std::strcmp(env, "poll") == 0) {
-        return JoinMode::kPoll;
-    }
-    return JoinMode::kHandoff;
-}
-
-/// The pre-handoff join shape, kept as the LWT_JOIN=poll escape hatch
-/// (and the degraded path when a second joiner finds the slot occupied).
-/// Ends by waiting out the terminator's slot publish so the caller may
-/// reclaim the unit.
+/// Degraded join for a second joiner that finds the slot occupied: poll
+/// the unit's state. Ends by waiting out the terminator's slot publish so
+/// the caller may reclaim the unit.
 void poll_join(WorkUnit* unit) {
-    if (Ult* self = Ult::current()) {
-        if (unit->kind == Kind::kUlt) {
-            // Joining a ULT: hand the stream to the joinee each pass (the
-            // seed's myth_join shape). A plain yield would starve under
-            // LIFO deques — the joiner gets re-popped ahead of the joinee
-            // forever.
-            Ult* target = static_cast<Ult*>(unit);
-            while (!unit->terminated()) {
-                (void)yield_to(target);
-            }
+    // A ULT joining a ULT hands the stream to the joinee each pass (the
+    // myth_join shape): a plain yield would starve under LIFO deques — the
+    // joiner gets re-popped ahead of the joinee forever.
+    Ult* target = Ult::current() != nullptr && unit->kind == Kind::kUlt
+                      ? static_cast<Ult*>(unit)
+                      : nullptr;
+    while (!unit->terminated()) {
+        if (target != nullptr) {
+            (void)yield_to(target);
         } else {
-            while (!unit->terminated()) {
-                self->yield();
-            }
-        }
-    } else if (XStream* stream = XStream::current()) {
-        stream->run_until([unit] { return unit->terminated(); });
-    } else {
-        while (!unit->terminated()) {
-            std::this_thread::yield();
+            yield_anywhere();
         }
     }
     unit->await_reclaim();
@@ -85,20 +61,6 @@ std::uintptr_t register_joiner(WorkUnit* unit,
     return expected;
 }
 
-/// Attached-stream wait on a bare parker: keep draining the stream's
-/// pools, with a bounded condvar nap between empty sweeps so the direct
-/// wake is prompt and the stream still serves work other streams push at
-/// it (a private-pool chain may need this thread). Must not return before
-/// notified() — the terminator touches the parker in notify().
-void stream_wait(XStream* stream, sync::ThreadParker& parker) {
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
-    }
-}
-
 /// Stack record an OS-thread joiner registers in the slot
 /// (kJoinerThreadTag): the parker plus a joiner-owned mailbox for the
 /// terminator's handoff stamp. The stamp travels through waiter-owned
@@ -106,7 +68,8 @@ void stream_wait(XStream* stream, sync::ThreadParker& parker) {
 /// the joining ULT — after resuming, the joiner must not touch the unit
 /// at all (see join_unit).
 struct alignas(8) ThreadJoinWaiter {
-    sync::ThreadParker parker{nullptr};
+    explicit ThreadJoinWaiter(sync::ParkingLot* lot) noexcept : parker(lot) {}
+    sync::ThreadParker parker;
     std::atomic<std::uint64_t> terminate_tsc{0};
 };
 
@@ -122,19 +85,6 @@ void record_handoff_latency(std::uint64_t stamp) noexcept {
 }
 
 }  // namespace
-
-JoinMode join_mode() noexcept {
-    if (!g_join_mode_set.load(std::memory_order_acquire)) {
-        g_join_mode.store(join_mode_from_env(), std::memory_order_relaxed);
-        g_join_mode_set.store(true, std::memory_order_release);
-    }
-    return g_join_mode.load(std::memory_order_relaxed);
-}
-
-void set_join_mode(JoinMode mode) noexcept {
-    g_join_mode.store(mode, std::memory_order_relaxed);
-    g_join_mode_set.store(true, std::memory_order_release);
-}
 
 void publish_termination(WorkUnit* unit) noexcept {
     const std::uint64_t stamp =
@@ -221,10 +171,6 @@ void join_unit(WorkUnit* unit) {
     if (unit->join_done()) {
         return;
     }
-    if (join_mode() == JoinMode::kPoll) {
-        poll_join(unit);
-        return;
-    }
     XStream* stream = XStream::current();
     bool may_steal = stream != nullptr;
     for (;;) {
@@ -257,7 +203,7 @@ void join_unit(WorkUnit* unit) {
                 // Only the terminator's wake routes through the slot, so
                 // resuming means the join is done and published. Do NOT
                 // touch the unit from here on (not even to assert): a
-                // concurrent poll-mode joiner can observe the publish and
+                // degraded second joiner can observe the publish and
                 // let its caller free the unit before we are rescheduled.
                 // The handoff stamp therefore arrives in OUR descriptor.
                 record_handoff_latency(self->obs_handoff_tsc.exchange(
@@ -276,9 +222,8 @@ void join_unit(WorkUnit* unit) {
         // is progress the workload needs, on FIFO pools the joinee
         // surfaces in queue order anyway, and fine-grained join storms
         // never pay the register/notify round trip while queues are
-        // nonempty. (This is exactly what the poll loop's run_until did
-        // productively; handoff changes what happens when the stream
-        // runs DRY — register once + one direct wake, no idle ladder.)
+        // nonempty. Only when the stream runs DRY does the joiner
+        // register once and wait for one direct wake.
         if (stream != nullptr && stream->progress()) {
             continue;
         }
@@ -299,23 +244,16 @@ void join_unit(WorkUnit* unit) {
                 return;
             }
         }
-        // Bare parker even for attached streams: the termination then
-        // wakes exactly this thread (one condvar signal) instead of
-        // broadcasting on the runtime lot, which would wake every parked
-        // stream per join — a context-switch storm on oversubscribed
-        // hosts. The attached-stream wait below still drains the
-        // stream's pools between bounded naps, so a private-pool chain
-        // that needs this thread is served within ~50µs.
-        ThreadJoinWaiter waiter;
+        // The parker is bound to the stream's lot (when it has one), so
+        // the wait below is woken by pushes to this stream's pools as
+        // well as by the termination: a private-pool chain that needs
+        // this thread is served at once.
+        ThreadJoinWaiter waiter(parker_lot(stream));
         const std::uintptr_t prev = register_joiner(
             unit,
             reinterpret_cast<std::uintptr_t>(&waiter) | kJoinerThreadTag);
         if (prev == kJoinerNone) {
-            if (stream != nullptr) {
-                stream_wait(stream, waiter.parker);
-            } else {
-                waiter.parker.wait();
-            }
+            thread_wait(waiter.parker, stream);
             // As on the ULT path: no unit access after the wake — the
             // stamp arrives in our stack record.
             record_handoff_latency(

@@ -278,8 +278,10 @@ class DequePool final : public Pool {
 };
 
 /// Chase-Lev work-stealing pool. push/pop are OWNER-ONLY (the stream the
-/// pool belongs to); any other stream may steal(). Used by the
-/// MassiveThreads-like and icc-OpenMP-like backends.
+/// pool belongs to); any other stream may steal(). No personality uses
+/// it: mth runs on LIFO DequePools and momp's TaskPool drives
+/// queue::ChaseLevDeque directly. It serves custom schedulers built on
+/// the kernel and the steal tests.
 class WsPool final : public Pool {
   public:
     explicit WsPool(std::size_t initial_capacity = 1024)

@@ -84,8 +84,12 @@ struct SchedStats {
 /// Live counters, one instance per execution stream (owned by XStream;
 /// momp's TaskPool keeps one per pool). Cache-line aligned so two streams
 /// never false-share their counters.
+///
+/// There is no live attempts counter: every probe bumps exactly one
+/// outcome (hit / empty / lost), and snapshot() derives steal_attempts as
+/// their sum. A separate attempts bump would let a snapshot taken between
+/// a thief's two bumps disagree with the outcomes.
 struct alignas(arch::kCacheLine) SchedCounters {
-    std::atomic<std::uint64_t> steal_attempts{0};
     std::atomic<std::uint64_t> steal_hits{0};
     std::atomic<std::uint64_t> steal_empty{0};
     std::atomic<std::uint64_t> steal_lost{0};
@@ -103,10 +107,10 @@ struct alignas(arch::kCacheLine) SchedCounters {
 
     [[nodiscard]] SchedStats snapshot() const noexcept {
         SchedStats s;
-        s.steal_attempts = steal_attempts.load(std::memory_order_relaxed);
         s.steal_hits = steal_hits.load(std::memory_order_relaxed);
         s.steal_empty = steal_empty.load(std::memory_order_relaxed);
         s.steal_lost = steal_lost.load(std::memory_order_relaxed);
+        s.steal_attempts = s.steal_hits + s.steal_empty + s.steal_lost;
         s.idle_spins = idle_spins.load(std::memory_order_relaxed);
         s.idle_yields = idle_yields.load(std::memory_order_relaxed);
         s.parks = parks.load(std::memory_order_relaxed);
@@ -120,7 +124,6 @@ struct alignas(arch::kCacheLine) SchedCounters {
     }
 
     void reset() noexcept {
-        steal_attempts.store(0, std::memory_order_relaxed);
         steal_hits.store(0, std::memory_order_relaxed);
         steal_empty.store(0, std::memory_order_relaxed);
         steal_lost.store(0, std::memory_order_relaxed);

@@ -251,7 +251,6 @@ class StealingScheduler : public Scheduler {
         StealOutcome outcome;
         WorkUnit* unit = victim->steal(outcome);
         if (stats_ != nullptr) {
-            SchedCounters::bump(stats_->steal_attempts);
             SchedCounters::bump(stats_->tier_attempts[tier]);
             switch (outcome) {
                 case StealOutcome::kSuccess:

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "arch/cpu.hpp"
-#include "core/join.hpp"
 #include "core/xstream.hpp"
 
 namespace lwt::core {
@@ -20,7 +19,7 @@ constexpr int kLockSpin = 32;
 
 // --- EventCounter -------------------------------------------------------------
 
-bool EventCounter::register_waiter(WaitNode& node) noexcept {
+bool EventCounter::register_waiter(SyncWaiter& node) noexcept {
     std::lock_guard g(guard_);
     std::int64_t s = state_.load(std::memory_order_acquire);
     for (;;) {
@@ -36,33 +35,9 @@ bool EventCounter::register_waiter(WaitNode& node) noexcept {
         if (state_.compare_exchange_weak(s, s | kWaitersBit,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-            node.next = waiters_head_;
-            waiters_head_ = &node;
+            waiters_.push_back(&node);
             return true;
         }
-    }
-}
-
-void EventCounter::wake_all_waiters() noexcept {
-    WaitNode* head;
-    {
-        std::lock_guard g(guard_);
-        state_.fetch_and(~kWaitersBit, std::memory_order_acq_rel);
-        head = waiters_head_;
-        waiters_head_ = nullptr;
-    }
-    // Past the guard only waiter-owned memory is touched. Each node lives
-    // on its waiter's stack: read `next` BEFORE the wake — a woken waiter
-    // may return from wait() and destroy its node (and the counter)
-    // immediately.
-    while (head != nullptr) {
-        WaitNode* const next = head->next;
-        if (head->kind == WaitNode::Kind::kUlt) {
-            Ult::wake(static_cast<Ult*>(head->ptr));
-        } else {
-            static_cast<sync::ThreadParker*>(head->ptr)->notify();
-        }
-        head = next;
     }
 }
 
@@ -79,80 +54,34 @@ void EventCounter::signal() noexcept {
     // here would be a use-after-free. Waiters registered: none of them
     // can return until we wake them below, so the counter stays alive
     // across the drain.
-    if ((old & kWaitersBit) != 0) {
-        wake_all_waiters();
+    if ((old & kWaitersBit) == 0) {
+        return;
     }
+    SyncWaiter* chain;
+    {
+        std::lock_guard g(guard_);
+        state_.fetch_and(~kWaitersBit, std::memory_order_acq_rel);
+        chain = waiters_.detach_all();
+    }
+    // Past the guard only waiter-owned memory is touched: a woken waiter
+    // may return from wait() and destroy its node (and the counter)
+    // immediately.
+    wake_sync_chain(chain);
 }
 
 void EventCounter::wait() noexcept {
-    if (value() <= 0) {
-        return;
-    }
-    if (join_mode() == JoinMode::kPoll) {
-        while (value() > 0) {
-            yield_anywhere();
-        }
-        return;
-    }
-    if (Ult* self = Ult::current()) {
-        // A woken ULT loops: an add() may have re-raised the count between
-        // our wake and this check (WaitGroup reuse), in which case we wait
-        // for the next zero crossing like a fresh waiter.
-        for (;;) {
-            // Arm the kBlocking/kWakePending handshake BEFORE the node is
-            // published: the zero-crossing drain may call Ult::wake the
-            // instant the guard drops.
-            self->state.store(State::kBlocking, std::memory_order_release);
-            WaitNode node{WaitNode::Kind::kUlt, self};
-            if (!register_waiter(node)) {
-                self->state.store(State::kRunning, std::memory_order_relaxed);
-                return;
-            }
-            self->suspend(YieldStatus::kBlocked);
-            if (value() <= 0) {
-                return;
-            }
-        }
-    }
-    XStream* stream = XStream::current();
+    // A woken waiter loops: an add() may have re-raised the count between
+    // our wake and this check (WaitGroup reuse), in which case we wait for
+    // the next zero crossing like a fresh waiter.
     while (value() > 0) {
-        sync::ThreadParker parker(stream != nullptr ? stream->parking_lot()
-                                                    : nullptr);
-        WaitNode node{WaitNode::Kind::kParker, &parker};
+        SyncBlocker blocker;
+        SyncWaiter node;
+        blocker.prepare(node);
         if (!register_waiter(node)) {
+            blocker.cancel(node);
             return;
         }
-        // Registered: we must not let `parker`/`node` die until
-        // notified() — the zero-crossing signaller holds pointers to both.
-        if (stream == nullptr) {
-            parker.wait();
-            continue;  // re-check: the counter may have been re-armed
-        }
-        // Attached stream (typically the primary): keep draining our pools
-        // while waiting. With a runtime lot we park on it — pool pushes and
-        // the final signal() both notify it; without one, short condvar
-        // naps between empty sweeps bound the wake latency.
-        if (sync::ParkingLot* lot = parker.lot()) {
-            while (!parker.notified()) {
-                if (stream->progress()) {
-                    continue;
-                }
-                const std::uint64_t ticket = lot->prepare_park();
-                if (parker.notified() || stream->scheduler().has_work() ||
-                    stream->stop_requested()) {
-                    lot->cancel_park();
-                    continue;
-                }
-                (void)lot->park(ticket, std::chrono::microseconds(1000));
-            }
-            continue;
-        }
-        while (!parker.notified()) {
-            if (stream->progress()) {
-                continue;
-            }
-            (void)parker.wait_for(std::chrono::microseconds(50));
-        }
+        blocker.wait();
     }
 }
 

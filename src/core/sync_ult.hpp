@@ -28,11 +28,10 @@ namespace lwt::core {
 /// Counts outstanding events; wait() returns when the count reaches zero.
 /// This is the join object behind most personalities (and Go's WaitGroup).
 ///
-/// Suspend-based since the direct-handoff join PR: waiters register under
-/// the guard and the signal() that drives the count to zero wakes them
-/// directly — a suspended ULT through Ult::wake, a blocked OS thread
-/// through its ThreadParker. No poll anywhere on the default path
-/// (LWT_JOIN=poll restores the old yield loop; docs/join_path.md).
+/// Suspend-based: waiters register a SyncWaiter node under the guard and
+/// the signal() that drives the count to zero wakes them directly — a
+/// suspended ULT through Ult::wake, a blocked OS thread through its
+/// ThreadParker (docs/join_path.md). No poll anywhere.
 ///
 /// Lifetime contract (why the count word carries a waiters bit): the
 /// counter is typically stack-owned by the waiter and destroyed the moment
@@ -78,17 +77,6 @@ class EventCounter {
     }
 
   private:
-    /// One entry in the intrusive waiter list. Lives on the waiting
-    /// context's stack — registration and the zero-crossing drain never
-    /// allocate (both run on noexcept paths, including the terminator's
-    /// publish).
-    struct WaitNode {
-        enum class Kind : std::uint8_t { kUlt, kParker };
-        Kind kind;
-        void* ptr;
-        WaitNode* next = nullptr;
-    };
-
     // state_ layout: (count << 1) | waiters-present bit. Count and flag
     // share one word so the decrement atomically learns whether anyone is
     // registered: a zero-crossing signal() that reads the bit clear is
@@ -105,16 +93,11 @@ class EventCounter {
     /// positive (one CAS: either the zero-crossing decrement sees the bit
     /// and drains us, or we see count <= 0 and never block). Returns
     /// false when the caller must not wait.
-    bool register_waiter(WaitNode& node) noexcept;
-
-    /// Zero-crossing drain: detach the whole list under the guard, then
-    /// wake each node outside it. Only waiter-owned memory is touched
-    /// after the guard drops.
-    void wake_all_waiters() noexcept;
+    bool register_waiter(SyncWaiter& node) noexcept;
 
     std::atomic<std::int64_t> state_;
     sync::Spinlock guard_;
-    WaitNode* waiters_head_ = nullptr;  ///< guarded by guard_
+    SyncWaiterList waiters_;  ///< guarded by guard_
 };
 
 /// Mutual exclusion that suspends the waiter instead of spinning its

@@ -8,11 +8,14 @@
 //
 //   ULT             -> kBlocking/kWakePending handshake + scheduler suspend
 //                      (the stream keeps running other ready units)
-//   attached stream -> drains its pools between bounded parks
-//   plain OS thread -> sleeps on a stack ThreadParker
+//   attached stream -> thread_wait(): drains its pools, parks on its lot
+//   plain OS thread -> thread_wait(): sleeps on a stack ThreadParker
 //
-// This is the PR-5 EventCounter stack-node discipline factored out so every
-// primitive gets the same lifetime contract:
+// thread_wait() is the one OS-thread wait in core: SyncBlocker, the
+// sync::WaitTable thread hook, EventCounter (through SyncBlocker) and
+// join_unit's OS-thread joiner all block through it.
+//
+// Every primitive gets the same stack-node lifetime contract:
 //
 //   * registration and wake never allocate;
 //   * a registered waiter never returns before its wake (the waker holds a
@@ -147,8 +150,7 @@ class SyncBlocker {
     void cancel(SyncWaiter& node) noexcept;
 
     /// Block until wake_sync_waiter() hits the prepared node. ULTs suspend
-    /// through the scheduler; an attached stream drains progress() between
-    /// bounded parks; a plain thread sleeps on the parker.
+    /// through the scheduler; threads wait in thread_wait().
     void wait() noexcept;
 
   private:
@@ -157,6 +159,24 @@ class SyncBlocker {
     SyncWaiter* node_ = nullptr;
     std::optional<sync::ThreadParker> parker_;  ///< thread path only
 };
+
+/// The lot a thread-side parker binds to when `stream` waits: the
+/// stream's ParkingLot, or nullptr for a plain thread or a lot-less
+/// stream. Bind it at construction, before the parker is published.
+[[nodiscard]] sync::ParkingLot* parker_lot(const XStream* stream) noexcept;
+
+/// The one OS-thread wait in core: returns once parker.notified(), never
+/// before (the notifier may still hold a pointer to the parker until it
+/// publishes). A plain thread (stream == nullptr) sleeps on the parker.
+/// An attached stream drains its pools with progress() and, when they run
+/// dry, parks: on its lot when it has one — pool pushes and the parker's
+/// notify() both wake it, and the lot timeout is only a safety net — or
+/// in short naps on the parker when it has none. Counts, live, every park
+/// in the registry counter "wait.attached.parks" and in
+/// "wait.attached.timeouts" every lot park that the safety net ended
+/// while its wake was already pending — a notify that never arrived. The
+/// parker must be bound with parker_lot(stream).
+void thread_wait(sync::ThreadParker& parker, XStream* stream) noexcept;
 
 /// Install the sync-layer ULT wait hooks (sync::install_ult_wait_ops) so
 /// sync::WaitTable can suspend/wake ULTs and record wake latency. Cheap and

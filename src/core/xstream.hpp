@@ -79,12 +79,11 @@ class XStream {
     bool progress();
 
     /// Drive the scheduling loop on the calling thread until `pred()` holds.
-    /// The classic "return mode": Converse's CsdScheduler, and the
-    /// LWT_JOIN=poll join shape. Never parks — an arbitrary predicate may
-    /// flip without any pool push, which no waker reports — so the ladder
-    /// is clamped at backoff. Joins and counter waits on the default path
-    /// no longer come here: they register for a direct wakeup instead
-    /// (core/join.hpp, EventCounter::wait) and park race-free.
+    /// The classic "return mode": Converse's CsdScheduler. Never parks —
+    /// an arbitrary predicate may flip without any pool push, which no
+    /// waker reports — so the ladder is clamped at backoff. Joins and
+    /// counter waits do not come here: they register for a direct wakeup
+    /// instead and park race-free in core/waiter.hpp thread_wait.
     template <typename Pred>
     void run_until(Pred&& pred) {
         sync::IdleConfig config = idle_config_;

@@ -35,7 +35,6 @@
 #include "arch/topology.hpp"
 #include "core/channel.hpp"
 #include "core/future.hpp"
-#include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/sched_stats.hpp"
 #include "core/sync_ult.hpp"
@@ -215,8 +214,6 @@ struct RuntimeOptions {
     std::string topology;
     /// Thread-pinning policy (LWT_BIND); nullopt = backend default.
     std::optional<arch::BindPolicy> bind;
-    /// Join protocol, handoff vs poll (LWT_JOIN); nullopt = handoff.
-    std::optional<core::JoinMode> join;
     /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
     std::optional<sync::IdlePolicy> idle;
     /// Free-stack cache cap per pool (LWT_STACK_CACHE); nullopt = 64.

@@ -133,7 +133,6 @@ TaskPool::Task* TaskPool::take(std::size_t tid) {
         if (victim == tid) {
             continue;
         }
-        SchedCounters::bump(counters_.steal_attempts);
         Task* stolen = nullptr;
         switch (per_thread_[victim]->steal_top(stolen)) {
             case queue::StealOutcome::kSuccess:

@@ -107,15 +107,11 @@ class Library {
     /// continuation to steal). All `n` detached ULTs running `body(i)` go
     /// to the caller's deque in ONE push_bulk; idle workers distribute the
     /// batch by stealing. Each completion signals `done` (add(n) is called
-    /// here) — join with wait_counter(done).
+    /// here) — join with done.wait(), which suspends a ULT and keeps the
+    /// attached main thread driving worker 0's pools while it waits.
     void create_bulk_detached(std::size_t n,
                               const std::function<void(std::size_t)>& body,
                               core::EventCounter& done);
-
-    /// Wait until `done` drains. From the attached main thread this drives
-    /// worker 0's scheduler (a plain EventCounter::wait would OS-yield and
-    /// deadlock single-worker configurations); inside a ULT it yields.
-    void wait_counter(core::EventCounter& done);
 
     /// myth_yield.
     static void yield();

@@ -537,7 +537,7 @@ class MthRunner final : public PatternRunner {
                                   [&body](std::size_t) { body(); }, done);
         const double create_ms = t.stop_ms();
         t.start();
-        lib_.wait_counter(done);
+        done.wait();
         const double join_ms = t.stop_ms();
         return {create_ms, join_ms};
     }
@@ -557,7 +557,7 @@ class MthRunner final : public PatternRunner {
                 }
             },
             done);
-        lib_.wait_counter(done);
+        done.wait();
     }
 
     void for_loop(std::size_t n, const ElemFn& body) override {

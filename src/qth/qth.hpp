@@ -52,10 +52,8 @@ struct Config {
 /// contributions, optionally aggregating a value per contribution
 /// (Qthreads uses sincs to implement its loops and reductions).
 ///
-/// Built on core::EventCounter since the direct-handoff join PR: the last
-/// submit() wakes the waiter directly (ULT wake / thread unpark) instead
-/// of a polled countdown. LWT_JOIN=poll restores the yield loop inside
-/// EventCounter::wait.
+/// Built on core::EventCounter: the last submit() wakes the waiter
+/// directly (ULT wake / thread unpark) instead of a polled countdown.
 class Sinc {
   public:
     /// Expect `n` more submissions.

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <ctime>
 #include <mutex>
 
 #include "arch/cpu.hpp"
@@ -137,23 +138,25 @@ class ParkingLot {
     std::condition_variable cv_;
 };
 
-/// One-shot waiter for an OS thread blocked in a join or counter wait (the
-/// non-ULT side of the direct-handoff protocol, docs/join_path.md). Two
-/// routings:
+/// One-shot waiter for an OS thread blocked in a join, counter or sync
+/// wait (the non-ULT side of the direct-handoff protocol,
+/// docs/join_path.md). Two routings:
 ///
-///  - bare (lot == nullptr): notify() flips the flag and signals the
-///    condvar; wait()/wait_for() block on it. Used by threads that are not
+///  - bare (lot == nullptr): notify() publishes "done" and, if the waiter
+///    is asleep, wakes it with FUTEX_WAKE on the state word; wait() and
+///    wait_for() sleep on that word. Used by threads that are not
 ///    execution streams (e.g. the Go-personality main thread).
-///  - lot-routed (lot != nullptr): notify() flips the flag and broadcasts
-///    on the given ParkingLot instead. An *attached stream* waiter parks on
-///    its runtime's lot so BOTH pool pushes and the termination wake it —
-///    it keeps draining its pools while waiting (see core/join.cpp).
+///  - lot-bound (lot != nullptr): notify() publishes "done" and
+///    broadcasts on the given ParkingLot instead. An *attached stream*
+///    waiter parks on its runtime's lot so BOTH pool pushes and the
+///    notify wake it (core/waiter.cpp thread_wait).
 ///
-/// Lifetime: the waiter owns the parker (stack allocation) and must not
-/// return until notified() is true; notify() reads the lot pointer before
-/// publishing the flag and touches only the (longer-lived) lot afterwards,
-/// and the bare path signals under the mutex, so notify() never touches a
-/// destroyed parker.
+/// Teardown safety by construction: the waiter owns the parker (stack
+/// allocation) and may destroy it the instant notified() reads true.
+/// notify()'s last access to parker memory is the exchange that publishes
+/// "done"; after it, notify() uses only the lot pointer it read before and
+/// the word's address as a futex key (a wake on a dead or reused address
+/// is at worst a spurious wakeup, which every futex waiter tolerates).
 class ThreadParker {
   public:
     explicit ThreadParker(ParkingLot* lot = nullptr) noexcept : lot_(lot) {}
@@ -161,48 +164,32 @@ class ThreadParker {
     ThreadParker& operator=(const ThreadParker&) = delete;
 
     [[nodiscard]] bool notified() const noexcept {
-        return done_.load(std::memory_order_acquire);
+        return state_.load(std::memory_order_acquire) == kDone;
     }
 
     [[nodiscard]] ParkingLot* lot() const noexcept { return lot_; }
 
     /// Waker side; callable exactly once, from any thread.
-    void notify() noexcept {
-        ParkingLot* lot = lot_;  // before the store: the waiter may return
-                                 // (and destroy us) the moment done_ flips
-        if (lot != nullptr) {
-            done_.store(true, std::memory_order_release);
-            lot->notify_all();
-            return;
-        }
-        // Signal while holding the mutex: the waiter cannot re-check the
-        // flag and return (destroying us) before we are done touching the
-        // condvar.
-        std::lock_guard<std::mutex> guard(mutex_);
-        done_.store(true, std::memory_order_release);
-        cv_.notify_one();
-    }
+    void notify() noexcept;
 
-    /// Block until notified. Bare parkers only — a lot-routed waiter must
-    /// park on the lot (notify() never signals the member condvar then).
-    void wait() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return notified(); });
-    }
+    /// Block until notified. Bare parkers only — a lot-bound waiter must
+    /// park on the lot (notify() never wakes the state word then).
+    void wait() noexcept;
 
-    /// Bounded block; returns notified(). Used as the safety net when an
-    /// attached stream waits without a lot (progress-drive loop).
-    bool wait_for(std::chrono::microseconds timeout) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, timeout, [this] { return notified(); });
-        return notified();
-    }
+    /// Bounded block; returns notified(). Bare parkers only: the nap of an
+    /// attached stream that has no lot (core/waiter.cpp thread_wait).
+    bool wait_for(std::chrono::microseconds timeout) noexcept;
 
   private:
+    static constexpr std::uint32_t kIdle = 0;      ///< nobody asleep yet
+    static constexpr std::uint32_t kSleeping = 1;  ///< waiter in futex wait
+    static constexpr std::uint32_t kDone = 2;      ///< notified
+
+    /// Announce a sleeper and futex-wait on the word; nullptr = no limit.
+    void sleep(const timespec* timeout) noexcept;
+
     ParkingLot* const lot_;
-    std::atomic<bool> done_{false};
-    std::mutex mutex_;
-    std::condition_variable cv_;
+    std::atomic<std::uint32_t> state_{kIdle};
 };
 
 }  // namespace lwt::sync

@@ -1,5 +1,7 @@
 #include "sync/wait_table.hpp"
 
+#include <optional>
+
 #include "arch/cpu.hpp"
 
 namespace lwt::sync {
@@ -34,62 +36,48 @@ bool WaitTable::park_if(const void* key, bool (*still_blocked)(void*),
     Shard& sh = shard_for(key);
     const UltWaitOps* ops = ult_wait_ops();
     void* ult = ops != nullptr ? ops->current() : nullptr;
+    const std::uint64_t block_tsc =
+        ops != nullptr && ops->metrics_enabled() ? arch::rdtsc() : 0;
 
-    const bool stamp =
-        ops != nullptr && ops->metrics_enabled != nullptr &&
-        ops->metrics_enabled();
-    const std::uint64_t block_tsc = stamp ? arch::rdtsc() : 0;
-
+    // Bind the waiter BEFORE the node becomes visible — a waker may
+    // dequeue and wake us the instant the shard lock drops: a ULT arms
+    // the kBlocking/kWakePending handshake, a thread binds its parker to
+    // its stream's lot.
+    std::optional<ThreadParker> parker;
+    WaitNode node{key, WaitNode::Kind::kUlt, ult};
     if (ult != nullptr) {
-        // Arm the kBlocking/kWakePending handshake BEFORE the node becomes
-        // visible: a waker may dequeue and wake us the instant the shard
-        // lock drops.
         ops->arm(ult);
-        WaitNode node{key, WaitNode::Kind::kUlt, ult};
-        {
-            std::lock_guard g(sh.lock);
-            if (!still_blocked(ctx)) {
-                ops->cancel(ult);
-                return false;
-            }
-            node.next = nullptr;
-            if (sh.tail != nullptr) {
-                sh.tail->next = &node;
-            } else {
-                sh.head = &node;
-            }
-            sh.tail = &node;
-        }
-        if (block_tsc != 0 && ops->record_suspend != nullptr) {
-            ops->record_suspend();
-        }
-        ops->suspend(ult);
     } else {
-        ThreadParker parker;
-        WaitNode node{key, WaitNode::Kind::kParker, &parker};
-        {
-            std::lock_guard g(sh.lock);
-            if (!still_blocked(ctx)) {
-                return false;
+        parker.emplace(ops != nullptr ? ops->thread_lot() : nullptr);
+        node.kind = WaitNode::Kind::kParker;
+        node.ptr = &*parker;
+    }
+    {
+        std::lock_guard g(sh.lock);
+        if (!still_blocked(ctx)) {
+            if (ult != nullptr) {
+                ops->cancel(ult);
             }
-            node.next = nullptr;
-            if (sh.tail != nullptr) {
-                sh.tail->next = &node;
-            } else {
-                sh.head = &node;
-            }
-            sh.tail = &node;
+            return false;
         }
-        // Registered: parker and node must stay alive until notified() —
-        // the unparker holds pointers to both.
-        if (block_tsc != 0 && ops->record_suspend != nullptr) {
-            ops->record_suspend();
-        }
-        if (ops != nullptr && ops->thread_wait != nullptr) {
-            ops->thread_wait(parker);
+        if (sh.tail != nullptr) {
+            sh.tail->next = &node;
         } else {
-            parker.wait();
+            sh.head = &node;
         }
+        sh.tail = &node;
+    }
+    // Registered: the node (and parker) must stay alive until the wake —
+    // the unparker holds pointers to both.
+    if (block_tsc != 0) {
+        ops->record_suspend();
+    }
+    if (ult != nullptr) {
+        ops->suspend(ult);
+    } else if (ops != nullptr) {
+        ops->thread_wait(*parker);
+    } else {
+        parker->wait();
     }
     if (block_tsc != 0) {
         ops->record_wake_latency(arch::rdtsc() - block_tsc);

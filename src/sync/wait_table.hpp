@@ -15,7 +15,7 @@
 // install_ult_wait_ops() at stream start-up; until then — and always, for
 // plain OS threads — waiters fall back to a stack-owned ThreadParker.
 //
-// Lifetime contract (same discipline as core::EventCounter's wait nodes):
+// Lifetime contract (same discipline as core::SyncWaiter nodes):
 // wait nodes live on the waiting context's stack. A registered waiter never
 // returns from park_if() before its wake, and unpark() reads a node's
 // `next` pointer BEFORE waking it, so the waker never touches freed stack.
@@ -50,9 +50,12 @@ struct UltWaitOps {
     void (*suspend)(void* ult) noexcept;
     /// Make a blocked/blocking ULT runnable again (Ult::wake).
     void (*wake)(void* ult) noexcept;
-    /// Block an OS thread on its parker. core routes attached execution
-    /// streams through a progress-draining loop here; bare threads just
-    /// sleep. Must not return until parker.notified().
+    /// The lot an OS-thread waiter's parker binds to (its attached
+    /// stream's), or nullptr. Read before the parker is published.
+    ParkingLot* (*thread_lot)() noexcept;
+    /// Block an OS thread on its parker (core's thread_wait: an attached
+    /// stream drains its pools between parks; bare threads just sleep).
+    /// Must not return until parker.notified().
     void (*thread_wait)(ThreadParker& parker) noexcept;
     /// True when latency stamping is worth the rdtsc (Metrics enabled).
     bool (*metrics_enabled)() noexcept;

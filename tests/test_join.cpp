@@ -1,8 +1,8 @@
 // Tests for the direct-handoff join path (core/join.hpp,
 // docs/join_path.md): joiner-slot registration and wake-on-terminate,
-// join-stealing, the suspend-based EventCounter, ThreadParker, and the
-// ParkingLot notify_one herd-avoidance — plus handoff-vs-poll equivalence
-// across the personalities.
+// join-stealing, the suspend-based EventCounter, ThreadParker teardown
+// safety, the ParkingLot notify_one herd-avoidance, the attached-thread
+// wait (core/waiter.hpp thread_wait) and a join workload per personality.
 //
 // TSan builds (tools/tsan.sh) run this file too: TSan cannot follow
 // fcontext switches, so every test that suspends/resumes a ULT is gated
@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "gol/gol.hpp"
 #include "mth/mth.hpp"
 #include "qth/qth.hpp"
+#include "sync/feb.hpp"
 #include "sync/parking_lot.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -39,17 +42,6 @@
 #endif
 
 namespace {
-
-using lwt::core::JoinMode;
-using lwt::core::join_mode;
-using lwt::core::set_join_mode;
-
-/// Force a join mode for one scope; restores handoff (the default under
-/// test) on exit so test order cannot leak poll mode.
-struct ModeGuard {
-    explicit ModeGuard(JoinMode m) { set_join_mode(m); }
-    ~ModeGuard() { set_join_mode(JoinMode::kHandoff); }
-};
 
 // --- kernel-level protocol ---------------------------------------------------
 
@@ -108,6 +100,49 @@ TEST(JoinCore, ThreadParkerBareRoundTrip) {
     });
     parker.wait();
     EXPECT_TRUE(parker.notified());
+    waker.join();
+}
+
+TEST(JoinCore, ThreadParkerFreedTheInstantItIsNotified) {
+    // Regression for the parker teardown race: the waiter owns the parker
+    // and frees it the moment notified() reads true, while notify() may
+    // still be running on the waking thread. notify()'s last access to the
+    // parker must be the store that publishes "done" — the old mutex +
+    // condvar parker kept signalling and unlocking in the freed memory,
+    // and a waker that then slept on a futex in the reused bytes never
+    // returned. Each round overwrites the freed storage at once, so a
+    // late access trips TSan/ASan here, or hangs the waker (ctest
+    // timeout). Rounds alternate spinning, sleeping and lot-bound waiters.
+    constexpr int kRounds = 20000;
+    lwt::sync::ParkingLot lot;
+    std::atomic<lwt::sync::ThreadParker*> slot{nullptr};
+    std::thread waker([&] {
+        for (int round = 0; round < kRounds; ++round) {
+            lwt::sync::ThreadParker* parker;
+            while ((parker = slot.exchange(nullptr,
+                                           std::memory_order_acquire)) ==
+                   nullptr) {
+                std::this_thread::yield();
+            }
+            parker->notify();
+        }
+    });
+    for (int round = 0; round < kRounds; ++round) {
+        void* storage = ::operator new(sizeof(lwt::sync::ThreadParker));
+        auto* parker = new (storage)
+            lwt::sync::ThreadParker(round % 3 == 2 ? &lot : nullptr);
+        slot.store(parker, std::memory_order_release);
+        if (round % 3 == 1) {
+            parker->wait();
+        } else {
+            while (!parker->notified()) {
+                std::this_thread::yield();
+            }
+        }
+        parker->~ThreadParker();
+        std::memset(storage, 0xff, sizeof(lwt::sync::ThreadParker));
+        ::operator delete(storage);
+    }
     waker.join();
 }
 
@@ -177,44 +212,110 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
     // Deterministic discriminator for CI's join-smoke leg: a joiner that
     // MUST suspend (the unit runs-and-sleeps on another stream, so steal/
     // help-first/backoff all fail) records its signal→resume sample in
-    // the "join.signal_resume_ticks" histogram; poll mode records none.
-    // fig3's empty-bodied units can legally complete every join on the
-    // help-first fast path on a small host, so the bench histogram alone
-    // cannot assert the direct path was exercised.
+    // the "join.signal_resume_ticks" histogram. fig3's empty-bodied units
+    // can legally complete every join on the help-first fast path on a
+    // small host, so the bench histogram alone cannot assert the direct
+    // path was exercised.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
         "join.signal_resume_ticks");
-    const auto blocked_join = [] {
-        lwt::core::DequePool pool;
-        auto stream = std::make_unique<lwt::core::XStream>(
-            0, std::make_unique<lwt::core::Scheduler>(
-                   std::vector<lwt::core::Pool*>{&pool}));
-        stream->start();
-        auto* unit = new lwt::core::Tasklet([] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        });
-        pool.push(unit);
-        lwt::core::join_unit(unit);
-        EXPECT_TRUE(unit->join_done());
-        delete unit;
-        stream->stop_and_join();
-    };
+    lwt::core::DequePool pool;
+    auto stream = std::make_unique<lwt::core::XStream>(
+        0, std::make_unique<lwt::core::Scheduler>(
+               std::vector<lwt::core::Pool*>{&pool}));
+    stream->start();
     lwt::core::Metrics::instance().enable();
     hist.reset();
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        blocked_join();
-    }
-    const std::uint64_t handoff_samples = hist.snapshot().count;
-    hist.reset();
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        blocked_join();
-    }
-    const std::uint64_t poll_samples = hist.snapshot().count;
+    auto* unit = new lwt::core::Tasklet(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(5)); });
+    pool.push(unit);
+    lwt::core::join_unit(unit);
+    EXPECT_TRUE(unit->join_done());
+    const std::uint64_t samples = hist.snapshot().count;
     lwt::core::Metrics::instance().disable();
     hist.reset();
-    EXPECT_GT(handoff_samples, 0u);
-    EXPECT_EQ(poll_samples, 0u);
+    delete unit;
+    stream->stop_and_join();
+    EXPECT_GT(samples, 0u);
+}
+
+// --- the attached-thread wait on a runtime with a lot ------------------------
+
+/// Live thread_wait() counters, read before and after one blocking case.
+struct AttachedWaitDelta {
+    lwt::core::Counter& parks =
+        lwt::core::MetricsRegistry::instance().counter("wait.attached.parks");
+    lwt::core::Counter& timeouts = lwt::core::MetricsRegistry::instance()
+                                       .counter("wait.attached.timeouts");
+    std::uint64_t parks0 = parks.value();
+    std::uint64_t timeouts0 = timeouts.value();
+
+    /// The unit side: sleep until the waiter has parked, so the wait
+    /// cannot end on a fast path however the host schedules the threads.
+    void sleep_until_parked() const {
+        while (parks.value() == parks0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    }
+
+    /// Every park of the primary ended by a notify, never by the
+    /// safety-net timeout.
+    void expect_woken_by_notify() const {
+        EXPECT_EQ(timeouts.value() - timeouts0, 0u);
+    }
+};
+
+/// Two abt streams with private pools: units placed on pool 1 run on the
+/// worker stream, where the attached primary can neither steal nor help
+/// them, so its waits below must park (the unit sleeps until they do).
+lwt::abt::Config two_private_streams() {
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    c.pool_kind = lwt::abt::PoolKind::kPrivate;
+    return c;
+}
+
+void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
+
+TEST(AttachedWait, AbtJoinOfSleepingUnitIsWokenByNotify) {
+    lwt::abt::Library lib(two_private_streams());
+    const AttachedWaitDelta delta;
+    lwt::abt::UnitHandle h = lib.task_create(
+        [&delta] { delta.sleep_until_parked(); }, /*pool_idx=*/1);
+    h.free();
+    delta.expect_woken_by_notify();
+}
+
+TEST(AttachedWait, AbtEventCounterWaitIsWokenByNotify) {
+    lwt::abt::Library lib(two_private_streams());
+    const AttachedWaitDelta delta;
+    lwt::core::EventCounter done(1);
+    lwt::abt::UnitHandle h = lib.task_create(
+        [&delta, &done] {
+            delta.sleep_until_parked();
+            done.signal();
+        },
+        /*pool_idx=*/1);
+    done.wait();
+    h.free();
+    delta.expect_woken_by_notify();
+}
+
+TEST(AttachedWait, AbtFebWaitIsWokenByNotify) {
+    lwt::abt::Library lib(two_private_streams());
+    auto& feb = lwt::sync::FebTable::instance();
+    lwt::sync::aligned_t word = 0;
+    feb.purge(&word);
+    const AttachedWaitDelta delta;
+    lwt::abt::UnitHandle h = lib.task_create(
+        [&delta, &feb, &word] {
+            delta.sleep_until_parked();
+            feb.write_f(&word, 42);
+        },
+        /*pool_idx=*/1);
+    EXPECT_EQ(feb.read_ff(&word), 42u);
+    h.free();
+    delta.expect_woken_by_notify();
+    feb.forget(&word);
 }
 
 TEST(JoinCore, EventCounterLastSignalRaceStress) {
@@ -343,7 +444,7 @@ TEST(JoinCore, UltJoinerSuspendsUntilTermination) {
     other->stop_and_join();
 }
 
-// --- handoff vs poll equivalence across the personalities --------------------
+// --- one join workload per personality, checked against its closed form -----
 
 int abt_workload() {
     lwt::abt::Config c;
@@ -434,33 +535,30 @@ int gol_workload() {
     return sum.load();
 }
 
-template <typename Workload>
-void expect_mode_equivalence(Workload&& workload) {
-    int handoff = 0;
-    int poll = 0;
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        handoff = workload();
-    }
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        poll = workload();
-    }
-    EXPECT_EQ(handoff, poll);
+/// Sum of 0..n-1: what every workload's units add up to.
+constexpr int triangle(int n) { return n * (n - 1) / 2; }
+
+TEST(JoinWorkloads, AbtMatchesClosedForm) {
+    EXPECT_EQ(abt_workload(), triangle(32) + 1000);
+}
+TEST(JoinWorkloads, QthMatchesClosedForm) {
+    EXPECT_EQ(qth_workload(), triangle(48));
+}
+TEST(JoinWorkloads, MthMatchesClosedForm) {
+    EXPECT_EQ(mth_workload(), triangle(32));
+}
+TEST(JoinWorkloads, CvtMatchesClosedForm) {
+    EXPECT_EQ(cvt_workload(), triangle(16));
+}
+TEST(JoinWorkloads, GolMatchesClosedForm) {
+    EXPECT_EQ(gol_workload(), triangle(64));
 }
 
-TEST(JoinModes, AbtHandoffMatchesPoll) { expect_mode_equivalence(abt_workload); }
-TEST(JoinModes, QthHandoffMatchesPoll) { expect_mode_equivalence(qth_workload); }
-TEST(JoinModes, MthHandoffMatchesPoll) { expect_mode_equivalence(mth_workload); }
-TEST(JoinModes, CvtHandoffMatchesPoll) { expect_mode_equivalence(cvt_workload); }
-TEST(JoinModes, GolHandoffMatchesPoll) { expect_mode_equivalence(gol_workload); }
-
-TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
-    // Regression: under LWT_JOIN=poll a ULT joining a child ULT must hand
-    // the stream to the joinee each pass (yield_to), not plain-yield —
-    // under mth's LIFO deques a plain yield re-pops the joiner ahead of
-    // the child forever (the fib divide-and-conquer livelock).
-    ModeGuard guard(JoinMode::kPoll);
+TEST(JoinWorkloads, RecursiveWorkFirstJoinCompletes) {
+    // Regression: a ULT joining a child ULT must hand the stream to the
+    // joinee (the join-steal's yield_to), not plain-yield — under mth's
+    // LIFO deques a plain yield re-pops the joiner ahead of the child
+    // forever (the fib divide-and-conquer livelock).
     lwt::mth::Config c;
     c.num_workers = 2;
     c.policy = lwt::mth::Policy::kWorkFirst;
@@ -470,36 +568,22 @@ TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
     EXPECT_EQ(result, 55);
 }
 
-TEST(JoinModes, HandoffJoinAvoidsIdleYields) {
+TEST(JoinWorkloads, HandoffJoinAvoidsIdleYields) {
     // The join phase of fig3 in miniature: the primary creates units onto
-    // a worker's pool and join-waits for each. Under handoff the primary
-    // registers and parks (zero idle ladder); under poll it walks
-    // run_until's spin/yield ladder. Handoff must burn no more yields.
-    auto run = [](JoinMode mode) {
-        ModeGuard guard(mode);
-        lwt::abt::Config c;
-        c.num_xstreams = 2;
-        lwt::abt::Library lib(c);
-        lib.runtime().reset_stats();
-        for (int round = 0; round < 8; ++round) {
-            lwt::abt::UnitHandle h = lib.thread_create(
-                [] {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                },
-                /*pool_idx=*/1);
-            h.free();
-        }
-        // Primary stream only: the joiner's own idle behaviour, without
-        // the worker's unrelated between-rounds idling.
-        return lib.runtime().primary().sched_stats().idle_yields;
-    };
-    const std::uint64_t handoff_yields = run(JoinMode::kHandoff);
-    const std::uint64_t poll_yields = run(JoinMode::kPoll);
-    // Polling a 2 ms unit walks past the spin limit into yields every
-    // round; the handoff joiner registers and parks — its wait never
-    // touches the idle ladder at all.
-    EXPECT_EQ(handoff_yields, 0u);
-    EXPECT_GT(poll_yields, 0u);
+    // a worker's pool and join-waits for each. The joiner registers and
+    // parks — its wait never touches the idle ladder (a polling join of a
+    // 2 ms unit would walk past the spin limit into yields every round).
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    lwt::abt::Library lib(c);
+    lib.runtime().reset_stats();
+    for (int round = 0; round < 8; ++round) {
+        lwt::abt::UnitHandle h = lib.thread_create(nap, /*pool_idx=*/1);
+        h.free();
+    }
+    // Primary stream only: the joiner's own idle behaviour, without the
+    // worker's unrelated between-rounds idling.
+    EXPECT_EQ(lib.runtime().primary().sched_stats().idle_yields, 0u);
 }
 
 #endif  // !LWT_TSAN

@@ -40,19 +40,10 @@
 namespace {
 
 using lwt::core::Condvar;
-using lwt::core::JoinMode;
 using lwt::core::Mutex;
 using lwt::core::RwLock;
 using lwt::core::Semaphore;
-using lwt::core::set_join_mode;
 using lwt::core::UltBarrier;
-
-/// Force a join mode for one scope; restores handoff (the default under
-/// test) on exit so test order cannot leak poll mode.
-struct ModeGuard {
-    explicit ModeGuard(JoinMode m) { set_join_mode(m); }
-    ~ModeGuard() { set_join_mode(JoinMode::kHandoff); }
-};
 
 // --- Mutex / Condvar: OS-thread protocol -------------------------------------
 
@@ -464,7 +455,6 @@ TEST(SyncUlt, BlockedUltsSuspendWhileStreamKeepsWorking) {
     // other ready units (the background ULTs) the whole time. If waiters
     // spun instead, sync.suspends would never move and this test would
     // hang (ctest timeout), not just fail.
-    ModeGuard guard(JoinMode::kHandoff);
     auto& suspends =
         lwt::core::MetricsRegistry::instance().counter("sync.suspends");
     lwt::core::Metrics::instance().enable();
@@ -525,7 +515,6 @@ TEST(SyncUlt, CondvarPingPongFourUltsPerStream) {
     // contention shape): turn-taking over a shared counter, predicate
     // loops absorbing Mesa wakeups, wake latency recorded by the suspend
     // path.
-    ModeGuard guard(JoinMode::kHandoff);
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
         "sync.wake_latency_ticks");
     lwt::core::Metrics::instance().enable();
@@ -563,7 +552,6 @@ TEST(SyncUlt, CondvarPingPongFourUltsPerStream) {
 }
 
 TEST(SyncUlt, BarrierGenerationReuseAcrossUltRounds) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::abt::Config c;
     c.num_xstreams = 2;
     lwt::abt::Library lib(c);
@@ -590,7 +578,6 @@ TEST(SyncUlt, BarrierGenerationReuseAcrossUltRounds) {
 TEST(SyncUlt, MixedUltAndOsThreadBarrier) {
     // One side arrives from a ULT, the other from the (attached) main
     // thread — the barrier must pair suspend-wake with parker-wake.
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::abt::Config c;
     c.num_xstreams = 2;
     lwt::abt::Library lib(c);
@@ -612,7 +599,6 @@ TEST(SyncUlt, MixedUltAndOsThreadBarrier) {
 }
 
 TEST(SyncUlt, SemaphoreBoundsUltConcurrency) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::abt::Config c;
     c.num_xstreams = 2;
     lwt::abt::Library lib(c);
@@ -645,7 +631,6 @@ TEST(SyncUlt, SemaphoreBoundsUltConcurrency) {
 }
 
 TEST(SyncUlt, RwLockUltReadersAndWriters) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::abt::Config c;
     c.num_xstreams = 2;
     lwt::abt::Library lib(c);
@@ -684,7 +669,6 @@ TEST(SyncUlt, FebBlockedUltSuspendsAndWakes) {
     // qthreads personality: a forked ULT blocks in read_ff on an EMPTY
     // word (suspending its worker's current unit, not the worker), and the
     // main thread's write_f wakes it through the wait table.
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::qth::Config c;
     c.num_shepherds = 2;
     c.workers_per_shepherd = 1;
@@ -732,7 +716,6 @@ void expect_rendezvous_exact(lwt::core::Channel<int>& ch,
 }
 
 TEST(SyncUlt, ChannelRendezvousAbt) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::abt::Config c;
     c.num_xstreams = 2;
     lwt::abt::Library lib(c);
@@ -747,7 +730,6 @@ TEST(SyncUlt, ChannelRendezvousAbt) {
 }
 
 TEST(SyncUlt, ChannelRendezvousQth) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::qth::Config c;
     c.num_shepherds = 2;
     c.workers_per_shepherd = 1;
@@ -764,7 +746,6 @@ TEST(SyncUlt, ChannelRendezvousQth) {
 }
 
 TEST(SyncUlt, ChannelRendezvousMth) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::mth::Config c;
     c.num_workers = 2;
     lwt::mth::Library lib(c);
@@ -783,7 +764,6 @@ TEST(SyncUlt, ChannelRendezvousMth) {
 }
 
 TEST(SyncUlt, ChannelRendezvousCvt) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::cvt::Config c;
     c.num_pes = 2;
     lwt::cvt::Library lib(c);
@@ -798,7 +778,6 @@ TEST(SyncUlt, ChannelRendezvousCvt) {
 }
 
 TEST(SyncUlt, ChannelRendezvousGol) {
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::gol::Config c;
     c.num_threads = 2;
     lwt::gol::Library lib(c);
@@ -816,7 +795,6 @@ TEST(SyncUlt, ChannelRendezvousGol) {
 TEST(SyncUlt, ChannelCloseWakesBlockedUltSender) {
     // A goroutine blocked in an unbuffered send with no receiver must be
     // woken by close() and report failure.
-    ModeGuard guard(JoinMode::kHandoff);
     lwt::gol::Config c;
     c.num_threads = 2;
     lwt::gol::Library lib(c);
