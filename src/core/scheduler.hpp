@@ -248,21 +248,14 @@ class StealingScheduler : public Scheduler {
     }
 
     WorkUnit* probe(Pool* victim, std::size_t tier) {
-        StealOutcome outcome;
-        WorkUnit* unit = victim->steal(outcome);
+        WorkUnit* unit = victim->steal();
         if (stats_ != nullptr) {
             SchedCounters::bump(stats_->tier_attempts[tier]);
-            switch (outcome) {
-                case StealOutcome::kSuccess:
-                    SchedCounters::bump(stats_->steal_hits);
-                    SchedCounters::bump(stats_->tier_hits[tier]);
-                    break;
-                case StealOutcome::kEmpty:
-                    SchedCounters::bump(stats_->steal_empty);
-                    break;
-                case StealOutcome::kLost:
-                    SchedCounters::bump(stats_->steal_lost);
-                    break;
+            if (unit != nullptr) {
+                SchedCounters::bump(stats_->steal_hits);
+                SchedCounters::bump(stats_->tier_hits[tier]);
+            } else {
+                SchedCounters::bump(stats_->steal_empty);
             }
         }
         return unit;

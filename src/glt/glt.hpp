@@ -215,8 +215,12 @@ struct RuntimeOptions {
     /// Thread-pinning policy (LWT_BIND); nullopt = backend default.
     std::optional<arch::BindPolicy> bind;
     /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
+    /// Applied only to core::Runtime streams (the abt backend): qth, mth,
+    /// cvt and gol streams have no parking lot and always back off.
     std::optional<sync::IdlePolicy> idle;
-    /// Free-stack cache cap per pool (LWT_STACK_CACHE); nullopt = 64.
+    /// Free-stack cache cap per pool (LWT_STACK_CACHE); nullopt = the
+    /// built-in cap, 1024 for the default stack source every Ult(fn)
+    /// draws from (soft watermark: half the cap).
     std::optional<std::size_t> stack_cache;
     /// Back ULT stacks with transparent huge pages — MADV_HUGEPAGE on the
     /// usable range, guard page intact (LWT_STACK_HUGE); nullopt = off.

@@ -4,8 +4,8 @@
 //
 // The owner pushes and pops at the bottom (LIFO — good locality for
 // recursive task graphs); thieves steal from the top (FIFO — steals the
-// oldest, typically largest, piece of work). This is the engine behind the
-// MassiveThreads-like and icc-OpenMP-like work-stealing paths.
+// oldest, typically largest, piece of work). This is the engine behind
+// momp's icc-OpenMP-like per-thread task deques (momp/task_pool.hpp).
 #pragma once
 
 #include <atomic>
@@ -20,7 +20,7 @@
 namespace lwt::queue {
 
 /// Outcome of a single steal probe. Distinguishing an empty victim from a
-/// lost CAS race matters to the scheduler's telemetry and backoff: a lost
+/// lost CAS race matters to the thief's telemetry and backoff: a lost
 /// race means work exists but the deque is contended (keep probing), while
 /// an empty victim argues for moving on or backing off.
 enum class StealOutcome : std::uint8_t {

@@ -1,11 +1,12 @@
 // Tests for the bulk create/join fast path: Pool::push_bulk's single
 // notify per batch (asserted via parking-lot epochs), the GLT v2
 // spawn_bulk/wait API across every backend, momp's bulk task submission
-// and taskloop, the descriptor/stack caches, and a stress racing
-// push_bulk against concurrent stealers.
+// and taskloop, the descriptor/stack caches, and stresses racing bulk
+// pushes against concurrent stealers and consumers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/work_unit.hpp"
 #include "glt/glt.hpp"
 #include "momp/momp.hpp"
+#include "queue/chase_lev_deque.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace {
@@ -81,16 +83,6 @@ TEST(PushBulk, MpmcPoolNotifiesOnce) {
 
 TEST(PushBulk, DequePoolNotifiesOnce) {
     lwt::core::DequePool pool;
-    expect_single_notify_per_batch(pool);
-}
-
-TEST(PushBulk, WsPoolNotifiesOnce) {
-    lwt::core::WsPool pool(16);  // smaller than the batch: forces growth
-    expect_single_notify_per_batch(pool);
-}
-
-TEST(PushBulk, UnboundedSharedPoolNotifiesOnce) {
-    lwt::core::UnboundedSharedPool pool;
     expect_single_notify_per_batch(pool);
 }
 
@@ -310,55 +302,63 @@ TEST(StackCache, BatchRefillAndDrainRoundTrip) {
 
 // --- stress: push_bulk racing concurrent stealers --------------------------------
 
-// TSan lane: the owner publishes whole batches into a Chase-Lev pool with
-// one release store while thieves hammer steal_top and the owner
-// interleaves pops. Every unit must be consumed exactly once.
-TEST(BulkStress, WsPoolPushBulkVsStealers) {
-    lwt::core::WsPool pool(64);
+// The owner publishes whole batches into a Chase-Lev deque with one
+// release store (momp TaskPool's push_bottom_bulk path) while thieves
+// hammer steal_top and the owner interleaves pops. Every index must be
+// consumed exactly once.
+TEST(BulkStress, ChaseLevPushBulkVsStealers) {
+    lwt::queue::ChaseLevDeque<std::size_t> deque(64);  // forces growth
     constexpr std::size_t kBatches = 200;
     constexpr std::size_t kBatch = 64;
+    constexpr std::size_t kTotal = kBatches * kBatch;
+    std::vector<std::atomic<std::uint32_t>> seen(kTotal);
     std::atomic<bool> stop{false};
     std::atomic<std::size_t> consumed{0};
+    auto consume = [&](std::size_t i) {
+        seen[i].fetch_add(1, std::memory_order_relaxed);
+        consumed.fetch_add(1, std::memory_order_relaxed);
+    };
 
     std::vector<std::thread> thieves;
     for (int t = 0; t < 3; ++t) {
         thieves.emplace_back([&] {
             while (!stop.load(std::memory_order_acquire)) {
-                if (lwt::core::WorkUnit* u = pool.steal()) {
-                    delete u;
-                    consumed.fetch_add(1, std::memory_order_relaxed);
+                std::size_t i = 0;
+                if (deque.steal_top(i) == lwt::queue::StealOutcome::kSuccess) {
+                    consume(i);
                 }
             }
         });
     }
 
     // This thread is the deque owner: bulk pushes interleaved with pops.
+    std::vector<std::size_t> batch(kBatch);
     for (std::size_t b = 0; b < kBatches; ++b) {
-        std::vector<lwt::core::WorkUnit*> batch;
-        batch.reserve(kBatch);
         for (std::size_t i = 0; i < kBatch; ++i) {
-            batch.push_back(new lwt::core::Tasklet([] {}));
+            batch[i] = b * kBatch + i;
         }
-        pool.push_bulk(batch);
-        if (lwt::core::WorkUnit* u = pool.pop()) {
-            delete u;
-            consumed.fetch_add(1, std::memory_order_relaxed);
+        deque.push_bottom_bulk(batch.data(), batch.size());
+        if (auto i = deque.pop_bottom()) {
+            consume(*i);
         }
     }
-    while (lwt::core::WorkUnit* u = pool.pop()) {
-        delete u;
-        consumed.fetch_add(1, std::memory_order_relaxed);
+    while (auto i = deque.pop_bottom()) {
+        consume(*i);
     }
     // Thieves may hold in-flight steals; wait for the count to converge.
-    while (consumed.load(std::memory_order_acquire) < kBatches * kBatch) {
+    while (consumed.load(std::memory_order_acquire) < kTotal) {
         std::this_thread::yield();
     }
     stop.store(true, std::memory_order_release);
     for (auto& t : thieves) {
         t.join();
     }
-    EXPECT_EQ(consumed.load(), kBatches * kBatch);
-    EXPECT_EQ(pool.size_hint(), 0u);
+    EXPECT_EQ(consumed.load(), kTotal);
+    EXPECT_EQ(deque.size_approx(), 0u);
+    for (std::size_t i = 0; i < kTotal; ++i) {
+        EXPECT_EQ(seen[i].load(std::memory_order_relaxed), 1u)
+            << "index " << i << " lost or duplicated";
+    }
 }
 
 // Shared-pool variant: many producers bulk-push into one MPMC pool while

@@ -64,8 +64,8 @@ TEST(Interop, TwoGltRuntimesConcurrently) {
 }
 
 TEST(Interop, SequentialLibraryLifetimes) {
-    // Boot/finalize cycles must leave no residue (thread-locals, tracer,
-    // hazard domain are process-global).
+    // Boot/finalize cycles must leave no residue (thread-locals and the
+    // tracer are process-global).
     for (int round = 0; round < 3; ++round) {
         lwt::abt::Config c;
         c.num_xstreams = 2;

@@ -45,24 +45,6 @@ namespace {
 
 // --- kernel-level protocol ---------------------------------------------------
 
-TEST(JoinCore, UnboundedSharedPoolSizeHintSaturates) {
-    lwt::core::UnboundedSharedPool pool;
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-    auto a = std::make_unique<lwt::core::Tasklet>([] {});
-    auto b = std::make_unique<lwt::core::Tasklet>([] {});
-    pool.push(a.get());
-    pool.push(b.get());
-    // An MS queue has no O(1) size: the hint must saturate at 1 ("not
-    // empty"), never report occupancy — while empty() stays exact.
-    EXPECT_FALSE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 1u);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-}
-
 TEST(JoinCore, NotifyOneCountsAvoidedWakeups) {
     lwt::sync::ParkingLot lot;
     std::atomic<bool> release{false};
